@@ -24,16 +24,8 @@ where disk and pairwise interference models break.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .feasibility import Schedule
 from .radio import NetworkInstance, links_share_node, sinr_at_receiver
-
-
-class BaselineKind(str, Enum):
-    PROTOCOL_MODEL = "pm"
-    PHYSICAL_GREEDY = "pg"
-    PAIRWISE_CONFLICT = "pcg"
 
 
 def _color_conflict_graph(
@@ -125,21 +117,3 @@ def pg_schedule(instance: NetworkInstance, frame_length: int) -> Schedule:
                 slot.add(lid)
                 break
     return Schedule.from_lists(frame_length, slots)
-
-
-def baseline_schedule(
-    kind: BaselineKind,
-    instance: NetworkInstance,
-    frame_length: int,
-    *,
-    interference_range: float | None = None,
-) -> Schedule:
-    """Dispatch by kind; pm requires interference_range."""
-    kind = BaselineKind(kind)
-    if kind is BaselineKind.PROTOCOL_MODEL:
-        if interference_range is None:
-            raise ValueError("pm needs an interference_range")
-        return pm_schedule(instance, interference_range, frame_length)
-    if kind is BaselineKind.PHYSICAL_GREEDY:
-        return pg_schedule(instance, frame_length)
-    return pcg_schedule(instance, frame_length)

@@ -17,13 +17,11 @@ override it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import exact
-from .baselines import pcg_schedule, pg_schedule, pm_schedule
-from .centralized import app_schedule, rounding_tail_bound
-from .experiment import ALGORITHMS, emit_results, run_experiment, summarize
+from .centralized import rounding_tail_bound
+from .experiment import ALGORITHMS, SCHEDULERS, emit_results, run_experiment, summarize
 from .feasibility import check_coverage, check_schedule, throughput
 from .lp import LpInfeasibleError
 from .protocol import (
@@ -43,11 +41,11 @@ from .scenario import (
 )
 
 
-def _load_config(args, need_pairs: bool = True) -> ScenarioConfig:
+def _load_config(args) -> ScenarioConfig:
     data = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = dict(json.load(fh))
+            data = ScenarioConfig.json_fields(fh.read())
     if getattr(args, "n", None) is not None:
         data["pair_count"] = args.n
     if getattr(args, "frame", None) is not None:
@@ -56,7 +54,7 @@ def _load_config(args, need_pairs: bool = True) -> ScenarioConfig:
         data["run_count"] = args.runs
     if getattr(args, "master_seed", None) is not None:
         data["master_seed"] = args.master_seed
-    if need_pairs and "pair_count" not in data:
+    if "pair_count" not in data:
         _usage_error("pair count required (--n or --config)")
     return ScenarioConfig(**data)
 
@@ -77,23 +75,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_schedule(args) -> int:
     instance = read_instance(args.scenario)
-    frame = args.frame
-    if args.algo == "app":
-        outcome = app_schedule(instance, frame, args.seed)
-        schedule = outcome.schedule
-        print(f"lp_bound={outcome.lp_objective!r}")
-        print(f"delta_ratio={outcome.delta_a / outcome.lp_objective!r}")
-    elif args.algo == "pm":
-        schedule = pm_schedule(instance, args.range, frame)
-    elif args.algo == "pg":
-        schedule = pg_schedule(instance, frame)
-    elif args.algo == "pcg":
-        schedule = pcg_schedule(instance, frame)
-    else:  # opt
-        schedule = exact.exhaustive_opt(instance, frame).schedule
-    missing = check_coverage(instance, schedule)
+    schedule, metrics = SCHEDULERS[args.algo](instance, args.frame, args.seed, args.range)
+    for name in ("lp_bound", "delta_ratio"):
+        if name in metrics:
+            print(f"{name}={metrics[name]!r}")
     print(f"throughput={throughput(instance, schedule)!r}")
-    print(f"uncovered={len(missing)}")
+    print(f"uncovered={len(check_coverage(instance, schedule))}")
     if args.out:
         write_schedule(schedule, args.out)
         print(f"wrote schedule to {args.out}")

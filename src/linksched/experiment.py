@@ -29,8 +29,6 @@ from .protocol import protocol_params, run_distributed
 from .radio import NetworkInstance
 from .scenario import ScenarioConfig, generate_scenario
 
-ALGORITHMS = ("app", "pm", "pg", "pcg", "opt", "lp-bound", "distributed")
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -71,57 +69,67 @@ def run_seeds(config: ScenarioConfig) -> list[int]:
     return [int(s) for s in state]
 
 
+def _schedule_metrics(instance, schedule):
+    return schedule, {
+        "throughput": throughput(instance, schedule),
+        "uncovered": len(check_coverage(instance, schedule)),
+    }
+
+
+def _app(instance, frame_length, seed, interference_range):
+    outcome = app_schedule(instance, frame_length, seed)
+    bound = outcome.lp_objective
+    return outcome.schedule, {
+        "throughput": throughput(instance, outcome.schedule),
+        "lp_bound": bound,
+        "delta_ratio": outcome.delta_a / bound if bound else None,
+        "uncovered": len(outcome.uncovered),
+    }
+
+
+def _opt(instance, frame_length, seed, interference_range):
+    result = exact.exhaustive_opt(instance, frame_length)
+    return result.schedule, {"opt": result.throughput, "uncovered": 0}
+
+
+def _lp_bound(instance, frame_length, seed, interference_range):
+    return None, {"lp_bound": solve_lp(build_lp(instance, frame_length)).objective}
+
+
+def _distributed(instance, frame_length, seed, interference_range):
+    trace = run_distributed(instance, protocol_params(instance), seed=seed)
+    schedule = trace.schedule() if trace.complete else None
+    return schedule, {
+        "throughput": None if schedule is None else throughput(instance, schedule),
+        "uncovered": len(instance.links) - len(trace.first_scheduled),
+        "slots_used": trace.slots_used,
+    }
+
+
+# name -> (instance, frame_length, seed, interference_range) -> (schedule or
+# None, ResultRow metric fields); the CLI's `schedule` command uses it too.
+# Entries look the schedulers up in this module's globals at call time, so a
+# wrapper bound over `experiment.pg_schedule` (say) sees every call.
+SCHEDULERS = {
+    "app": _app,
+    "pm": lambda inst, t, seed, r: _schedule_metrics(inst, pm_schedule(inst, r, t)),
+    "pg": lambda inst, t, seed, r: _schedule_metrics(inst, pg_schedule(inst, t)),
+    "pcg": lambda inst, t, seed, r: _schedule_metrics(inst, pcg_schedule(inst, t)),
+    "opt": _opt,
+    "lp-bound": _lp_bound,
+    "distributed": _distributed,
+}
+ALGORITHMS = tuple(SCHEDULERS)
+
+
 def _measure(instance: NetworkInstance, config: ScenarioConfig, algorithm: str, seed: int) -> dict:
     t = config.frame_length
-    if algorithm == "app":
-        outcome = app_schedule(instance, t, seed)
-        bound = outcome.lp_objective
-        return {
-            "throughput": throughput(instance, outcome.schedule),
-            "lp_bound": bound,
-            "delta_ratio": outcome.delta_a / bound if bound else None,
-            "uncovered": len(outcome.uncovered),
-        }
-    if algorithm == "pm":
-        sched = pm_schedule(instance, config.interference_range, t)
-        return {
-            "throughput": throughput(instance, sched),
-            "uncovered": len(check_coverage(instance, sched)),
-        }
-    if algorithm == "pg":
-        sched = pg_schedule(instance, t)
-        return {
-            "throughput": throughput(instance, sched),
-            "uncovered": len(check_coverage(instance, sched)),
-        }
-    if algorithm == "pcg":
-        sched = pcg_schedule(instance, t)
-        return {
-            "throughput": throughput(instance, sched),
-            "uncovered": len(check_coverage(instance, sched)),
-        }
-    if algorithm == "opt":
-        if (
-            len(instance.links) > exact.MAX_EXACT_LINKS
-            or t > exact.MAX_EXACT_SLOTS
-        ):
-            return {}  # outside the enumeration guards; leave the row empty
-        result = exact.exhaustive_opt(instance, t)
-        return {"opt": result.throughput, "uncovered": 0}
-    if algorithm == "lp-bound":
-        solution = solve_lp(build_lp(instance, t))
-        return {"lp_bound": solution.objective}
-    if algorithm == "distributed":
-        trace = run_distributed(instance, protocol_params(instance), seed=seed)
-        covered = len(trace.first_scheduled)
-        return {
-            "throughput": (
-                throughput(instance, trace.schedule()) if trace.complete else None
-            ),
-            "uncovered": len(instance.links) - covered,
-            "slots_used": trace.slots_used,
-        }
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "opt" and (
+        len(instance.links) > exact.MAX_EXACT_LINKS or t > exact.MAX_EXACT_SLOTS
+    ):
+        return {}  # outside the enumeration guards; leave the row empty
+    _, metrics = SCHEDULERS[algorithm](instance, t, seed, config.interference_range)
+    return metrics
 
 
 def run_experiment(

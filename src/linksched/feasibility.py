@@ -18,7 +18,7 @@ independent evidence and not a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .radio import NetworkInstance, sinr_at_receiver
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .radio import Link, NetworkInstance, link_gain
+from .radio import NetworkInstance, received_power
 
 EPS_FEAS = 1e-9
 EPS_OBJ = 1e-7
@@ -81,32 +81,6 @@ class LpModel:
             self.__dict__["_col_cache"] = cache
         return cache
 
-    def dump(self) -> str:
-        """Human-readable listing of the model, for eyeballing only."""
-        names = [f"x[{lid},{t}]" for lid, t in self.columns]
-        lines = [
-            f"maximize "
-            + " + ".join(
-                f"{c:g}*{names[j]}" for j, c in enumerate(self.objective) if c != 0.0
-            )
-        ]
-        for row in self.rows:
-            terms = " + ".join(
-                f"{row.coeffs[j]:g}*{names[j]}"
-                for j in np.flatnonzero(row.coeffs != 0.0)
-            )
-            label = ":".join(str(p) for p in row.label)
-            lines.append(f"{label}: {terms} {row.sense} {row.rhs:g}")
-        lines.append("bounds: 0 <= x <= 1")
-        return "\n".join(lines)
-
-
-def interference_gain(instance: NetworkInstance, interferer: Link, target: Link) -> float:
-    """P * pathgain from an interfering link's sender to a target receiver."""
-    return instance.radio.tx_power * link_gain(
-        instance, interferer.sender, target.receiver
-    )
-
 
 def sinr_big_m(instance: NetworkInstance, link_id: int) -> float:
     """Largest possible value of beta * (noise + total interference) at the
@@ -117,7 +91,7 @@ def sinr_big_m(instance: NetworkInstance, link_id: int) -> float:
     for other in instance.links:
         if other.id == link.id or other.sender == link.receiver:
             continue
-        total += interference_gain(instance, other, link)
+        total += received_power(instance, other.sender, link.receiver)
     return radio.beta * total
 
 
@@ -171,15 +145,13 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
         for link in links:
             coeffs = np.zeros(n)
             delta = deltas[link.id]
-            signal = instance.radio.tx_power * link_gain(
-                instance, link.sender, link.receiver
-            )
+            signal = received_power(instance, link.sender, link.receiver)
             coeffs[col_of[(link.id, t)]] = signal - delta
             for other in links:
                 if other.id == link.id or other.sender == link.receiver:
                     continue
-                coeffs[col_of[(other.id, t)]] = -radio.beta * interference_gain(
-                    instance, other, link
+                coeffs[col_of[(other.id, t)]] = -radio.beta * received_power(
+                    instance, other.sender, link.receiver
                 )
             rhs = radio.beta * radio.noise - delta
             rows.append(LpRow(coeffs, simplex.GE, rhs, ("sinr", t, link.id)))

@@ -108,12 +108,19 @@ class ScenarioConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
+    def json_fields(cls, text: str) -> dict:
+        """The fields a JSON object sets; ValueError for anything else."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        return data
+
+    @classmethod
+    def from_json(cls, text: str) -> "ScenarioConfig":
+        return cls(**cls.json_fields(text))
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> NetworkInstance:

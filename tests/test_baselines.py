@@ -10,13 +10,7 @@ Oracles:
 
 import pytest
 
-from linksched.baselines import (
-    BaselineKind,
-    baseline_schedule,
-    pcg_schedule,
-    pg_schedule,
-    pm_schedule,
-)
+from linksched.baselines import pcg_schedule, pg_schedule, pm_schedule
 from linksched.centralized import app_schedule
 from linksched.feasibility import (
     check_coverage,
@@ -228,25 +222,3 @@ class TestShippedFixture:
         assert inst == accumulation_grid()
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.read() == format_instance(inst)
-
-
-class TestDispatcher:
-    def test_kind_round_trip(self):
-        assert BaselineKind("pm") is BaselineKind.PROTOCOL_MODEL
-        assert BaselineKind("pg") is BaselineKind.PHYSICAL_GREEDY
-        assert BaselineKind("pcg") is BaselineKind.PAIRWISE_CONFLICT
-
-    def test_dispatch_matches_direct_calls(self, crossfire):
-        assert baseline_schedule(
-            BaselineKind.PROTOCOL_MODEL, crossfire, 2, interference_range=2.5
-        ) == pm_schedule(crossfire, 2.5, 2)
-        assert baseline_schedule(
-            BaselineKind.PHYSICAL_GREEDY, crossfire, 2
-        ) == pg_schedule(crossfire, 2)
-        assert baseline_schedule(
-            BaselineKind.PAIRWISE_CONFLICT, crossfire, 2
-        ) == pcg_schedule(crossfire, 2)
-
-    def test_pm_requires_range(self, crossfire):
-        with pytest.raises(ValueError):
-            baseline_schedule(BaselineKind.PROTOCOL_MODEL, crossfire, 2)

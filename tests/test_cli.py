@@ -5,6 +5,7 @@ import json
 import pytest
 
 from linksched.cli import main
+from linksched.experiment import run_experiment, run_seeds
 from linksched.feasibility import Schedule
 from linksched.scenario import (
     ScenarioConfig,
@@ -16,6 +17,8 @@ from linksched.scenario import (
 )
 
 from util import accumulation_grid
+
+SCHEDULE_ALGOS = ("app", "pm", "pg", "pcg", "opt")
 
 
 def run(args):
@@ -47,6 +50,20 @@ class TestGen:
         with pytest.raises(SystemExit) as err:
             run(["gen", "--seed", 0, "--out", tmp_path / "x.txt"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gen", "experiment"])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"pair_count": 2, "aera": 20}, "unknown config fields: ['aera']"),
+            ([2, 20], "config must be a JSON object, got list"),
+        ],
+    )
+    def test_bad_config_file_exits_one(self, tmp_path, capsys, command, body, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestScheduleAndCheck:
@@ -81,7 +98,7 @@ class TestScheduleAndCheck:
     def test_every_algorithm_runs(self, tmp_path):
         inst_path = tmp_path / "inst.txt"
         run(["gen", "--n", 2, "--seed", 7, "--out", inst_path])
-        for algo in ("app", "pm", "pg", "pcg", "opt"):
+        for algo in SCHEDULE_ALGOS:
             code = run(
                 ["schedule", "--algo", algo, "--scenario", inst_path, "--frame", 3]
             )
@@ -108,6 +125,37 @@ class TestScheduleAndCheck:
         )
         sched = read_schedule(str(sched_path))
         assert sched.frame_length == 2
+
+
+class TestScheduleMatchesExperiment:
+    def test_printed_metrics_equal_result_rows(self, tmp_path, capsys):
+        config = ScenarioConfig(
+            pair_count=4, frame_length=3, area=4.0, run_count=1, master_seed=0
+        )
+        rows = {row.algorithm: row for row in run_experiment(config, SCHEDULE_ALGOS)}
+        (seed,) = run_seeds(config)
+        cfg_path, inst_path = tmp_path / "cfg.json", tmp_path / "inst.txt"
+        cfg_path.write_text(config.to_json())
+        assert run(["gen", "--config", cfg_path, "--seed", seed, "--out", inst_path]) == 0
+        capsys.readouterr()
+        for algo in SCHEDULE_ALGOS:
+            args = [
+                "schedule", "--algo", algo, "--scenario", inst_path,
+                "--frame", config.frame_length, "--seed", seed,
+                "--range", config.interference_range,
+            ]
+            assert run(args) == 0, algo
+            printed = dict(
+                line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+            )
+            row = rows[algo]
+            value = row.opt if algo == "opt" else row.throughput
+            assert value is not None, algo
+            assert float(printed["throughput"]) == value, algo
+            assert int(printed["uncovered"]) == row.uncovered, algo
+            if algo == "app":
+                assert float(printed["lp_bound"]) == row.lp_bound
+                assert float(printed["delta_ratio"]) == row.delta_ratio
 
 
 class TestSimulate:

@@ -76,13 +76,6 @@ class TestModelShape:
         with pytest.raises(ValueError):
             build_lp(inst, 0)
 
-    def test_dump_lists_rows(self):
-        model = build_lp(crossfire(), 1)
-        text = model.dump()
-        assert "coverage:0" in text
-        assert "sinr:0:1" in text
-        assert "bounds: 0 <= x <= 1" in text
-
 
 class TestBigM:
     def test_crossfire_delta(self):
