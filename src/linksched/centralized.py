@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def randomized_round(fractional: FractionalSolution, seed: int) -> np.ndarray:
         raise ValueError(f"seed must be non-negative, got {seed}")
     model = fractional.model
     raw = np.zeros(model.n_vars, dtype=np.uint8)
-    for j, (lid, t) in enumerate(model.columns):
+    for j, (lid, t) in enumerate(product(model.link_ids, range(model.frame_length))):
         stream = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, lid, t]))
         )
@@ -90,7 +91,7 @@ def repair(
         raise ValueError(f"raw assignment has shape {raw.shape}, expected ({model.n_vars},)")
     beta = instance.radio.beta
     on_by_slot: dict[int, list[int]] = {t: [] for t in range(model.frame_length)}
-    for j, (lid, t) in enumerate(model.columns):
+    for j, (lid, t) in enumerate(product(model.link_ids, range(model.frame_length))):
         if raw[j]:
             on_by_slot[t].append(lid)
 
@@ -174,14 +175,9 @@ def coverage_fix(
                 }
                 trial.add(lid)
                 feasible = True
-                while True:
-                    failing = [
-                        m
-                        for m in sorted(trial)
-                        if sinr_at_receiver(instance, m, trial - {m}) < beta
-                    ]
-                    if not failing:
-                        break
+                while not all(
+                    sinr_at_receiver(instance, m, trial - {m}) >= beta for m in trial
+                ):
                     victims = [
                         m
                         for m in trial

@@ -115,7 +115,7 @@ def _cmd_bound(args) -> int:
     else:  # frame
         if args.scenario:
             instance = read_instance(args.scenario)
-            value = frame_length_ratio_bound(instance, protocol_params(instance))
+            value = frame_length_ratio_bound(instance)
         elif args.d_max is not None and args.alpha is not None and args.beta is not None:
             value = approximation_ratio_bound(args.d_max, args.alpha, args.beta)
         else:

@@ -23,20 +23,18 @@ class NoFeasibleScheduleError(Exception):
     """No assignment covers every link within the given frame."""
 
 
-def _guard_links(instance: NetworkInstance, max_links: int) -> list[int]:
+def _guard_links(instance: NetworkInstance) -> list[int]:
     ids = sorted(instance.link_ids())
-    if len(ids) > max_links:
+    if len(ids) > MAX_EXACT_LINKS:
         raise ValueError(
-            f"exhaustive search limited to {max_links} links, got {len(ids)}"
+            f"exhaustive search limited to {MAX_EXACT_LINKS} links, got {len(ids)}"
         )
     return ids
 
 
-def feasible_link_sets(
-    instance: NetworkInstance, *, max_links: int = MAX_EXACT_LINKS
-) -> list[frozenset[int]]:
+def feasible_link_sets(instance: NetworkInstance) -> list[frozenset[int]]:
     """Every subset of links that is valid as one slot (checker-verified)."""
-    ids = _guard_links(instance, max_links)
+    ids = _guard_links(instance)
     sets: list[frozenset[int]] = []
     for mask in range(1 << len(ids)):
         subset = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
@@ -55,23 +53,17 @@ class ExactResult:
     throughput: float
 
 
-def exhaustive_opt(
-    instance: NetworkInstance,
-    frame_length: int,
-    *,
-    max_links: int = MAX_EXACT_LINKS,
-    max_slots: int = MAX_EXACT_SLOTS,
-) -> ExactResult:
+def exhaustive_opt(instance: NetworkInstance, frame_length: int) -> ExactResult:
     """Maximum-throughput schedule covering every link, by enumeration."""
-    ids = _guard_links(instance, max_links)
+    ids = _guard_links(instance)
     if frame_length < 1:
         raise ValueError(f"frame_length must be >= 1, got {frame_length}")
-    if frame_length > max_slots:
+    if frame_length > MAX_EXACT_SLOTS:
         raise ValueError(
-            f"exhaustive search limited to {max_slots} slots, got {frame_length}"
+            f"exhaustive search limited to {MAX_EXACT_SLOTS} slots, got {frame_length}"
         )
     bit_of = {lid: i for i, lid in enumerate(ids)}
-    sets = feasible_link_sets(instance, max_links=max_links)
+    sets = feasible_link_sets(instance)
     set_masks = []
     set_values = []
     for subset in sets:
@@ -115,14 +107,12 @@ def exhaustive_opt(
     return ExactResult(schedule=schedule, throughput=dp[full] / frame_length)
 
 
-def minimum_frame_length(
-    instance: NetworkInstance, *, max_links: int = MAX_EXACT_LINKS
-) -> int:
+def minimum_frame_length(instance: NetworkInstance) -> int:
     """Fewest slots that can cover every link (set cover by enumeration)."""
-    ids = _guard_links(instance, max_links)
+    ids = _guard_links(instance)
     bit_of = {lid: i for i, lid in enumerate(ids)}
     masks = []
-    for subset in feasible_link_sets(instance, max_links=max_links):
+    for subset in feasible_link_sets(instance):
         if subset:
             mask = 0
             for lid in subset:

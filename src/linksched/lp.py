@@ -1,7 +1,8 @@
 """LP relaxation of the slot-assignment scheduling problem.
 
-One variable x[e,t] in [0,1] per (link, slot) pair.  Objective: the
-rate-weighted number of transmissions averaged over the frame.  Rows:
+One variable x[e,t] in [0,1] per (link, slot) pair; column i*T + t is
+link link_ids[i] in slot t.  Objective: the rate-weighted number of
+transmissions averaged over the frame.  Rows:
 
   coverage   sum_t x[e,t] >= 1                       per link e
   rx         sum_{e into node v} x[e,t] <= 1         per receiver v, slot t
@@ -18,6 +19,12 @@ decoding condition can get, so the row is vacuous when x[e,t] = 0 and is
 exactly "SINR >= beta" when x[e,t] = 1.  Links whose sender IS node j are
 excluded from the interference sums: the duplex row already forbids that
 concurrency outright, and a same-node path gain is undefined.
+
+The bound x[e,t] <= 1 needs no row of its own: x[e,t] has coefficient 1
+in its receiver's rx row, whose other coefficients are 0 or 1, so with
+x >= 0 that row already forces x[e,t] <= 1.  Passing the bounds to the
+simplex would add |E|*T redundant rows, about a quarter of its rows;
+solve_lp still rejects any returned value above 1.
 
 Integral feasible schedules are feasible points of this LP, so the LP
 optimum is an upper bound on every schedule's throughput.
@@ -62,24 +69,19 @@ class LpRow:
 class LpModel:
     instance: NetworkInstance
     frame_length: int
-    columns: tuple[tuple[int, int], ...]  # column -> (link id, slot)
+    link_ids: tuple[int, ...]  # ascending; column i*T + t is link_ids[i] in slot t
+    position: dict[int, int]  # link id -> its index in link_ids
     objective: np.ndarray
     rows: tuple[LpRow, ...]
 
     @property
     def n_vars(self) -> int:
-        return len(self.columns)
+        return len(self.link_ids) * self.frame_length
 
     def column(self, link_id: int, slot: int) -> int:
-        return self._col_of[(link_id, slot)]
-
-    @property
-    def _col_of(self) -> dict:
-        cache = self.__dict__.get("_col_cache")
-        if cache is None:
-            cache = {key: i for i, key in enumerate(self.columns)}
-            self.__dict__["_col_cache"] = cache
-        return cache
+        if not 0 <= slot < self.frame_length:
+            raise KeyError((link_id, slot))
+        return self.position[link_id] * self.frame_length + slot
 
 
 def sinr_big_m(instance: NetworkInstance, link_id: int) -> float:
@@ -101,21 +103,15 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
     radio = instance.radio
     links = sorted(instance.links, key=lambda l: l.id)
     T = frame_length
-    columns = tuple((link.id, t) for link in links for t in range(T))
-    col_of = {key: i for i, key in enumerate(columns)}
-    n = len(columns)
+    n = len(links) * T
 
-    objective = np.zeros(n)
-    for link in links:
-        for t in range(T):
-            objective[col_of[(link.id, t)]] = link.rate / T
+    objective = np.repeat([link.rate / T for link in links], T)
 
     rows: list[LpRow] = []
 
-    for link in links:
+    for i, link in enumerate(links):
         coeffs = np.zeros(n)
-        for t in range(T):
-            coeffs[col_of[(link.id, t)]] = 1.0
+        coeffs[i * T : (i + 1) * T] = 1.0
         rows.append(LpRow(coeffs, simplex.GE, 1.0, ("coverage", link.id)))
 
     receivers = sorted({link.receiver for link in links})
@@ -126,31 +122,31 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
     for t in range(T):
         for v in receivers:
             coeffs = np.zeros(n)
-            for link in links:
+            for i, link in enumerate(links):
                 if link.receiver == v:
-                    coeffs[col_of[(link.id, t)]] = 1.0
+                    coeffs[i * T + t] = 1.0
             rows.append(LpRow(coeffs, simplex.LE, 1.0, ("rx", t, v)))
         for v in senders:
             coeffs = np.zeros(n)
-            for link in links:
+            for i, link in enumerate(links):
                 if link.sender == v:
-                    coeffs[col_of[(link.id, t)]] = 1.0
+                    coeffs[i * T + t] = 1.0
             rows.append(LpRow(coeffs, simplex.LE, 1.0, ("tx", t, v)))
         for v in dual_role:
             coeffs = np.zeros(n)
-            for link in links:
+            for i, link in enumerate(links):
                 if link.sender == v or link.receiver == v:
-                    coeffs[col_of[(link.id, t)]] = 1.0
+                    coeffs[i * T + t] = 1.0
             rows.append(LpRow(coeffs, simplex.LE, 1.0, ("duplex", t, v)))
-        for link in links:
+        for i, link in enumerate(links):
             coeffs = np.zeros(n)
             delta = deltas[link.id]
             signal = received_power(instance, link.sender, link.receiver)
-            coeffs[col_of[(link.id, t)]] = signal - delta
-            for other in links:
+            coeffs[i * T + t] = signal - delta
+            for k, other in enumerate(links):
                 if other.id == link.id or other.sender == link.receiver:
                     continue
-                coeffs[col_of[(other.id, t)]] = -radio.beta * received_power(
+                coeffs[k * T + t] = -radio.beta * received_power(
                     instance, other.sender, link.receiver
                 )
             rhs = radio.beta * radio.noise - delta
@@ -159,7 +155,8 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
     return LpModel(
         instance=instance,
         frame_length=T,
-        columns=columns,
+        link_ids=tuple(link.id for link in links),
+        position={link.id: i for i, link in enumerate(links)},
         objective=objective,
         rows=tuple(rows),
     )
@@ -174,22 +171,12 @@ class FractionalSolution:
     def value(self, link_id: int, slot: int) -> float:
         return float(self.values[self.model.column(link_id, slot)])
 
-    def by_link(self) -> dict[int, np.ndarray]:
-        """Per-link slot profiles, link id -> array of length frame_length."""
-        T = self.model.frame_length
-        out: dict[int, np.ndarray] = {}
-        for j, (lid, t) in enumerate(self.model.columns):
-            out.setdefault(lid, np.zeros(T))[t] = self.values[j]
-        return out
-
 
 def solve_lp(model: LpModel) -> FractionalSolution:
     """Solve the relaxation; the objective is the throughput upper bound."""
     try:
         result = simplex.maximize(
-            model.objective,
-            [(row.coeffs, row.sense, row.rhs) for row in model.rows],
-            np.ones(model.n_vars),
+            model.objective, [(row.coeffs, row.sense, row.rhs) for row in model.rows]
         )
     except simplex.InfeasibleError as exc:
         raise LpInfeasibleError(

@@ -141,13 +141,11 @@ def approximation_ratio_bound(d_max: float, alpha: float, beta: float) -> float:
     return (d_max * (rho + 2.0)) ** alpha / beta
 
 
-def frame_length_ratio_bound(
-    instance: NetworkInstance, params: ProtocolParams
-) -> float:
+def frame_length_ratio_bound(instance: NetworkInstance) -> float:
     """approximation_ratio_bound evaluated at this instance's length spread."""
     lengths = [instance.link_length(lid) for lid in instance.link_ids()]
-    d_max = max(lengths) / min(lengths)
-    return (d_max * (params.rho + 2.0)) ** instance.radio.alpha / instance.radio.beta
+    radio = instance.radio
+    return approximation_ratio_bound(max(lengths) / min(lengths), radio.alpha, radio.beta)
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def run_distributed(
     if params is None:
         params = protocol_params(instance)
     if max_slots is None:
-        max_slots = int(math.ceil(len(instance.links) * frame_length_ratio_bound(instance, params)))
+        max_slots = int(math.ceil(len(instance.links) * frame_length_ratio_bound(instance)))
     if max_slots < 1:
         raise ValueError(f"max_slots must be >= 1, got {max_slots}")
 

@@ -1,22 +1,24 @@
 """Dense two-phase simplex for small linear programs.
 
-Solves  maximize c.x  subject to rows a.x <= b or a.x >= b, x >= 0, and
-optional per-variable upper bounds.  Everything lives in one numpy tableau;
-problem sizes here are a few hundred variables and rows, where a dense
-tableau is simple, fast enough, and bit-for-bit deterministic.
+Solves  maximize c.x  subject to rows a.x <= b or a.x >= b and x >= 0.
+Everything lives in one numpy tableau; problem sizes here are a few hundred
+variables and rows, where a dense tableau is simple, fast enough, and
+bit-for-bit deterministic.
 
 Numerical notes:
   * each row is scaled by its largest |coefficient| before entering the
     tableau (the scheduling rows mix magnitudes from 1e-12 to 1e-3);
   * entering column is chosen by the most negative reduced cost (lowest
-    index on ties); after `stall_limit` consecutive non-improving pivots
-    the rule switches to Bland's smallest-index rule, which cannot cycle;
+    index on ties); after 100 + 2*(rows + columns) consecutive
+    non-improving pivots the rule switches to Bland's smallest-index rule,
+    which cannot cycle;
   * the leaving row is the minimum-ratio row, ties broken by the smallest
     basis index.
 
 Raises InfeasibleError when phase 1 cannot zero the artificials and
-UnboundedError when a column has no blocking row (callers that bound every
-variable never see the latter).
+UnboundedError when a column has no blocking row (callers whose rows bound
+every variable never see the latter), and SimplexError after
+20000 + 40*(rows + columns) pivots.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 LE = "<="
 GE = ">="
+TOL = 1e-9
 
 
 class SimplexError(Exception):
@@ -52,11 +55,6 @@ class SimplexResult:
 def maximize(
     objective: Sequence[float],
     constraints: Iterable[tuple[Sequence[float], str, float]],
-    upper_bounds: Sequence[float] | None = None,
-    *,
-    tol: float = 1e-9,
-    stall_limit: int | None = None,
-    max_iterations: int | None = None,
 ) -> SimplexResult:
     c = np.asarray(objective, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -76,35 +74,20 @@ def maximize(
             raise ValueError(f"unknown sense {sense!r}")
         scale = float(np.max(np.abs(a)))
         if scale == 0.0:
-            if b < -tol:
+            if b < -TOL:
                 raise InfeasibleError("row with zero coefficients and negative bound")
             continue
         rows.append(a / scale)
         rhs.append(b / scale)
-    if upper_bounds is not None:
-        if len(upper_bounds) != n:
-            raise ValueError("upper_bounds length must match objective length")
-        for j, u in enumerate(upper_bounds):
-            if u is None or not np.isfinite(u):
-                continue
-            u = float(u)
-            if u < 0.0:
-                raise InfeasibleError(f"variable {j} has upper bound {u} below zero")
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rhs.append(u)
 
     m = len(rows)
     if m == 0:
-        if bool((c > tol).any()):
+        if bool((c > TOL).any()):
             raise UnboundedError("positive objective coefficient with no constraints")
         return SimplexResult(x=np.zeros(n), objective=0.0, iterations=0)
 
-    if stall_limit is None:
-        stall_limit = 100 + 2 * (m + n)
-    if max_iterations is None:
-        max_iterations = 20_000 + 40 * (m + n)
+    stall_limit = 100 + 2 * (m + n)
+    max_iterations = 20_000 + 40 * (m + n)
 
     b_arr = np.asarray(rhs, dtype=float)
     neg = b_arr < 0.0
@@ -149,22 +132,22 @@ def maximize(
                 raise SimplexError("simplex iteration limit exceeded")
             red = T[obj_row, : n + n_slack]
             if state["bland"]:
-                candidates = np.flatnonzero(red < -tol)
+                candidates = np.flatnonzero(red < -TOL)
                 if candidates.size == 0:
                     return
                 j = int(candidates[0])
             else:
                 j = int(np.argmin(red))
-                if red[j] >= -tol:
+                if red[j] >= -TOL:
                     return
             col = T[:nrows, j]
-            blocking = col > tol
+            blocking = col > TOL
             if not blocking.any():
                 raise UnboundedError(f"no blocking row for column {j}")
             ratios = np.full(nrows, np.inf)
             ratios[blocking] = T[:nrows, -1][blocking] / col[blocking]
             best = float(ratios.min())
-            window = tol * (1.0 + abs(best))
+            window = TOL * (1.0 + abs(best))
             ties = np.flatnonzero(ratios <= best + window)
             r = int(min(ties, key=lambda i: basis[i]))
             before = T[obj_row, -1]
@@ -180,7 +163,7 @@ def maximize(
     if n_art:
         run_phase(m + 1, m)
         bmax = float(np.abs(b_arr).max()) if m else 0.0
-        feas_eps = tol * (1 + m) * max(1.0, bmax)
+        feas_eps = TOL * (1 + m) * max(1.0, bmax)
         if T[m + 1, -1] < -feas_eps:
             raise InfeasibleError(
                 f"phase 1 left artificial mass {-T[m + 1, -1]:.3e}"
@@ -191,7 +174,7 @@ def maximize(
             if basis[i] >= art0:
                 row = T[i, : n + n_slack]
                 j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > tol:
+                if abs(row[j]) > TOL:
                     pivot(i, j)
                 else:
                     drop.append(i)

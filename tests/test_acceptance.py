@@ -225,7 +225,7 @@ def diversity_runs():
         inst = diversity_instance(1000 + seed, n, k)
         assert compute_diversity(inst) == k
         params = protocol_params(inst)
-        cap = int(math.ceil(n * frame_length_ratio_bound(inst, params)))
+        cap = int(math.ceil(n * frame_length_ratio_bound(inst)))
         trace = run_distributed(inst, params, max_slots=cap, seed=seed)
         runs.append((inst, params, cap, trace))
     return runs, time.monotonic() - start
@@ -265,7 +265,7 @@ def test_criterion_07_distributed_coverage_within_ratio_bound(diversity_runs):
         assert trace.slots_used <= cap
         assert set(trace.first_scheduled) == set(inst.link_ids())
         opt_frame = minimum_frame_length(inst)
-        bound = frame_length_ratio_bound(inst, params)
+        bound = frame_length_ratio_bound(inst)
         assert trace.slots_used <= bound * opt_frame, (trace.seed, trace.slots_used)
         ratios.append(trace.slots_used / opt_frame)
     print(

@@ -7,8 +7,11 @@ algebra on two-variable systems) and are pinned as exact fractions.
 import numpy as np
 import pytest
 
+from linksched import simplex
 from linksched.feasibility import Schedule, check_schedule, throughput
 from linksched.lp import (
+    EPS_FEAS,
+    EPS_OBJ,
     FractionalSolution,
     LpInfeasibleError,
     build_lp,
@@ -16,6 +19,7 @@ from linksched.lp import (
     solve_lp,
 )
 from linksched.radio import Link, NetworkInstance, Node, RadioParams
+from util import random_instance
 
 
 def make_instance(nodes, links, alpha=4.0, beta=10.0, noise=0.0, tx_power=1.0):
@@ -146,13 +150,14 @@ class TestSolve:
         sol = solve_lp(build_lp(crossfire(20.0), 3))
         assert (sol.values >= 0.0).all() and (sol.values <= 1.0).all()
 
-    def test_by_link_profiles(self):
+    def test_value_profiles_cover_each_link(self):
         sol = solve_lp(build_lp(crossfire(10.0), 2))
-        profiles = sol.by_link()
-        assert set(profiles) == {0, 1}
+        assert sol.model.link_ids == (0, 1)
+        assert sol.values.shape == (4,)
         for lid in (0, 1):
-            assert profiles[lid].shape == (2,)
-            assert profiles[lid].sum() >= 1.0 - 1e-9
+            assert sum(sol.value(lid, t) for t in range(2)) >= 1.0 - 1e-9
+        with pytest.raises(KeyError):
+            sol.value(0, 2)
 
     def test_deterministic(self):
         a = solve_lp(build_lp(crossfire(20.0), 2))
@@ -187,3 +192,57 @@ class TestUpperBoundProperty:
         sol = solve_lp(build_lp(inst, 2))
         assert sol.objective >= 1.0 - 1e-9
         assert sol.objective <= 2.0 + 1e-9
+
+
+def chain():
+    # a -> b -> c: node 1 sends and receives, so one slot cannot cover both
+    return make_instance(
+        nodes=[(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0)],
+        links=[(0, 0, 1), (1, 1, 2)],
+    )
+
+
+def dense_cases(count):
+    """(instance, frame length) pairs with n <= 10 links and T <= 6 on a
+    3 x 3 area, so interference binds; a few are LP-infeasible."""
+    for seed in range(count):
+        r = np.random.default_rng(seed)
+        n, T = int(r.integers(2, 11)), int(r.integers(1, 7))
+        yield random_instance(5000 + seed, n, area=3.0), T
+
+
+FIXTURE_CASES = [(crossfire(b), T) for b in (10.0, 20.0) for T in (1, 2, 3)] + [
+    (chain(), T) for T in (1, 2, 3)
+]
+
+
+def agrees_with_unit_bound_rows(inst, T) -> bool:
+    """Check solve_lp, which passes no x <= 1 rows, against maximize on the
+    same rows plus one x <= 1 row per column.  Returns False when both find
+    the relaxation infeasible."""
+    model = build_lp(inst, T)
+    rows = [(row.coeffs, row.sense, row.rhs) for row in model.rows]
+    unit = [(e, simplex.LE, 1.0) for e in np.eye(model.n_vars)]
+    try:
+        sol = solve_lp(model)
+    except LpInfeasibleError:
+        with pytest.raises(simplex.InfeasibleError):
+            simplex.maximize(model.objective, rows + unit)
+        return False
+    bounded = simplex.maximize(model.objective, rows + unit)
+    assert abs(sol.objective - bounded.objective) <= EPS_OBJ * (1.0 + abs(sol.objective))
+    # the raw optimum, before solve_lp clamps it, already respects x <= 1
+    assert (simplex.maximize(model.objective, rows).x <= 1.0 + EPS_FEAS).all()
+    return True
+
+
+class TestImpliedUnitBound:
+    """x <= 1 follows from the rx rows, so dropping the bound rows must not
+    move the LP optimum."""
+
+    def test_generated_dense_instances(self):
+        assert sum(agrees_with_unit_bound_rows(inst, T) for inst, T in dense_cases(60)) >= 50
+
+    @pytest.mark.parametrize("case", range(len(FIXTURE_CASES)))
+    def test_fixtures(self, case):
+        agrees_with_unit_bound_rows(*FIXTURE_CASES[case])

@@ -210,8 +210,7 @@ class TestRatioBound:
             links=(Link(0, 0, 1), Link(1, 2, 3)),
             radio=radio_10db(),
         )
-        params = protocol_params(inst)
-        assert frame_length_ratio_bound(inst, params) == pytest.approx(
+        assert frame_length_ratio_bound(inst) == pytest.approx(
             approximation_ratio_bound(2.0, 4.0, 10.0), rel=1e-12
         )
 
@@ -422,7 +421,7 @@ class TestRandomInstances:
             trace = run_distributed(inst, params, seed=seed)
             assert trace.complete
             optimum = minimum_frame_length(inst)
-            assert trace.slots_used <= frame_length_ratio_bound(inst, params) * optimum
+            assert trace.slots_used <= frame_length_ratio_bound(inst) * optimum
 
     def test_deterministic_per_seed(self):
         inst = random_instance(6, n_links=6)
