@@ -25,7 +25,7 @@ where disk and pairwise interference models break.
 from __future__ import annotations
 
 from .feasibility import Schedule
-from .radio import NetworkInstance, links_share_node, sinr_at_receiver
+from .radio import NetworkInstance, fits, links_share_node, sinr_at_receiver
 
 
 def _color_conflict_graph(
@@ -102,18 +102,11 @@ def pg_schedule(instance: NetworkInstance, frame_length: int) -> Schedule:
     """
     if frame_length < 1:
         raise ValueError(f"frame_length must be >= 1, got {frame_length}")
-    beta = instance.radio.beta
     slots: list[set[int]] = [set() for _ in range(frame_length)]
     order = sorted(instance.link_ids(), key=lambda lid: (-instance.link(lid).rate, lid))
     for lid in order:
-        link = instance.link(lid)
         for slot in slots:
-            if any(links_share_node(link, instance.link(other)) for other in slot):
-                continue
-            trial = slot | {lid}
-            if all(
-                sinr_at_receiver(instance, m, trial - {m}) >= beta for m in trial
-            ):
+            if fits(instance, lid, slot):
                 slot.add(lid)
                 break
     return Schedule.from_lists(frame_length, slots)

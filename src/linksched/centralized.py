@@ -1,35 +1,47 @@
-"""Centralized scheduler: LP relaxation + randomized rounding + repair.
+"""Centralized scheduler: LP relaxation + randomized rounding + cover-first packing.
 
 Pipeline:
 
-  1. solve the LP relaxation (lp.solve_lp), giving fractional x-hat values
-     and the throughput upper bound;
-  2. round each x[e,t] to 1 independently with probability x-hat[e,t]
-     (its own PCG64 stream keyed by (seed, link, slot), so outcomes are
-     reproducible and order-independent);
-  3. repair each slot: enforce the per-node single-transmission rules,
-     keeping higher x-hat links, then sweep the slot in the same priority
-     order and zero any link whose own measured SINR against the current
-     survivor set is below beta;
-  4. force-place links the repair left uncovered, evicting strictly
-     lower-priority links where needed; links that fit nowhere are
-     reported as uncovered, never silently dropped.
+  1. solve the folded LP relaxation (lp.solve_lp), giving one fractional
+     y-hat per link (its share of the frame) and the throughput upper
+     bound;
+  2. round every (link, slot) cell to 1 independently with probability
+     y-hat of its link, as in the paper; each link draws its T cells from
+     its own PCG64 stream keyed by (seed, link), so outcomes are
+     reproducible and one link's draws never depend on another's.  Link e
+     draws c_e cells, its copies, and the rounded rate-weighted frame
+     average is A_rand;
+  3. pack the draws into slots (repair), with radio.fits as the only
+     admission test, so every slot is feasible after every step:
+       pass 1 covers: links in ascending y-hat (ties to the smaller id)
+         each go into the first slot they fit, trying their drawn slots
+         first, then the rest, in slot order; if pg's schedule (the same
+         first fit in rate order) covers more links, it replaces pass 1;
+       pass 2 fills: links in descending y-hat (ties to the smaller id) add
+         copies in the same slot order, until each holds c_e copies;
+  4. report the outcome (coverage_fix): links that fit no slot are listed
+     as uncovered, never silently dropped, and delta_a is the final
+     throughput minus A_rand.
 
-The tail bound on the rounded-schedule throughput is exposed as
-rounding_tail_bound.
+Covering first is what lets the weakest links find room: a link the LP
+gives a small y-hat draws few cells, and its rivals with larger y-hat
+would otherwise fill every slot it drew.  A_rand and delta_a keep the
+paper's meaning, so rounding_tail_bound applies to the packed schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
+from .baselines import pg_schedule
 from .feasibility import Schedule, check_schedule, throughput
 from .lp import FractionalSolution, build_lp, solve_lp
-from .radio import NetworkInstance, links_share_node, sinr_at_receiver
+from .radio import NetworkInstance, fits
+# bench/tracing.py wraps this binding to count SINR calls; --trace 1 needs it
+from .radio import sinr_at_receiver  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,8 @@ class RoundingOutcome:
     """Final schedule plus the bookkeeping the tail bound needs.
 
     a_rand is the rate-averaged value of the raw rounded assignment before
-    any repair; delta_a is the net change applied by repair and coverage
-    fixing, so a_rand + delta_a equals the schedule's throughput.
+    packing; delta_a is the net change packing applied, so a_rand + delta_a
+    equals the schedule's throughput.
     """
 
     schedule: Schedule
@@ -50,69 +62,72 @@ class RoundingOutcome:
 
 
 def randomized_round(fractional: FractionalSolution, seed: int) -> np.ndarray:
-    """Independent Bernoulli rounding of every (link, slot) variable.
+    """Independent Bernoulli(y-hat) rounding of every (link, slot) cell.
 
-    Each variable draws from its own generator seeded by (seed, link id,
-    slot), so any subset of variables can be re-derived independently and
-    adding links or slots never shifts other variables' outcomes.
+    Returns a (links, T) 0/1 array whose row i is link link_ids[i].  Each
+    link draws its T uniforms at once from its own generator seeded by
+    (seed, link id), so adding links never shifts another link's cells.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     model = fractional.model
-    raw = np.zeros(model.n_vars, dtype=np.uint8)
-    for j, (lid, t) in enumerate(product(model.link_ids, range(model.frame_length))):
-        stream = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, lid, t]))
-        )
-        if stream.random() < fractional.values[j]:
-            raw[j] = 1
+    raw = np.empty((model.n_vars, model.frame_length), dtype=np.uint8)
+    for i, lid in enumerate(model.link_ids):
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, lid])))
+        raw[i] = stream.random(model.frame_length) < fractional.values[i]
     return raw
 
 
 def pre_repair_average(fractional: FractionalSolution, raw: np.ndarray) -> float:
     """Rate-weighted frame average of a raw 0/1 assignment (A_rand)."""
-    return float(np.dot(fractional.model.objective, raw))
+    model = fractional.model
+    return float(model.objective @ raw.sum(axis=1)) / model.frame_length
 
 
 def repair(
     instance: NetworkInstance, fractional: FractionalSolution, raw: np.ndarray
 ) -> list[set[int]]:
-    """Make each slot feasible, dropping lower-priority links.
+    """Pack the rounded draws into feasible slots, covering every link first.
 
-    Priority within a slot is non-increasing x-hat, ties to the smaller
-    link id.  First the single-transmission rules: a link conflicting with
-    an already-kept link is dropped.  Then the accumulation sweep: links
-    are re-admitted in the same priority order, and a link is dropped when
-    admitting it would push any admitted link (itself included) below
-    beta, so the surviving set is feasible after every step.
+    Pass 1 places one copy of each link, ascending y-hat; pass 2 adds
+    copies, descending y-hat, up to the link's drawn count.  Both try the
+    link's drawn slots first, then the others, in slot order, and take the
+    first slot where radio.fits admits the link.  Pass 2 starts from pg's
+    schedule instead when that covers more links than pass 1, so app never
+    covers fewer links than pg.  Nothing is ever evicted.
     """
     model = fractional.model
-    if raw.shape != (model.n_vars,):
-        raise ValueError(f"raw assignment has shape {raw.shape}, expected ({model.n_vars},)")
-    beta = instance.radio.beta
-    on_by_slot: dict[int, list[int]] = {t: [] for t in range(model.frame_length)}
-    for j, (lid, t) in enumerate(product(model.link_ids, range(model.frame_length))):
-        if raw[j]:
-            on_by_slot[t].append(lid)
+    T = model.frame_length
+    if raw.shape != (model.n_vars, T):
+        raise ValueError(
+            f"raw assignment has shape {raw.shape}, expected ({model.n_vars}, {T})"
+        )
+    drawn = raw.astype(bool)
+    # drawn slots first, each group in slot order
+    slot_order = [np.argsort(~row, kind="stable").tolist() for row in drawn]
+    yhat = fractional.values
+    slots: list[set[int]] = [set() for _ in range(T)]
 
-    slots: list[set[int]] = []
-    for t in range(model.frame_length):
-        order = sorted(on_by_slot[t], key=lambda lid: (-fractional.value(lid, t), lid))
-        kept: list[int] = []
-        for lid in order:
-            link = instance.link(lid)
-            if any(links_share_node(link, instance.link(k)) for k in kept):
-                continue
-            kept.append(lid)
-        survivors: set[int] = set()
-        for lid in kept:
-            candidate = survivors | {lid}
-            if all(
-                sinr_at_receiver(instance, m, candidate - {m}) >= beta
-                for m in candidate
-            ):
-                survivors = candidate
-        slots.append(survivors)
+    def place(i: int, copies: int) -> None:
+        lid = model.link_ids[i]
+        held = sum(lid in slot for slot in slots)
+        for t in slot_order[i]:
+            if held >= copies:
+                return
+            if lid not in slots[t] and fits(instance, lid, slots[t]):
+                slots[t].add(lid)
+                held += 1
+
+    for i in sorted(range(model.n_vars), key=lambda i: (yhat[i], model.link_ids[i])):
+        place(i, 1)
+    # First fit in y-hat order can pair links worse than rate order does.
+    covered = len(set().union(*slots))
+    if covered < model.n_vars:
+        fallback = [set(slot) for slot in pg_schedule(instance, T).slots]
+        if len(set().union(*fallback)) > covered:
+            slots[:] = fallback
+    for i in sorted(range(model.n_vars), key=lambda i: (-yhat[i], model.link_ids[i])):
+        place(i, int(drawn[i].sum()))
     return slots
 
 
@@ -124,88 +139,21 @@ def coverage_fix(
     a_rand: float = 0.0,
     rng_seed: int = 0,
 ) -> RoundingOutcome:
-    """Force-place links the rounding left with no slot.
+    """Assemble the outcome of packed slots: uncovered links and delta_a.
 
-    Uncovered links are processed in ascending id; each tries its slots in
-    non-increasing x-hat order.  Entering a slot may evict resident links,
-    but only links that are not themselves force-placed and whose x-hat in
-    that slot is strictly below the entering link's.  Evicted links that
-    lose their last slot rejoin the uncovered pool on a later pass; links
-    that fit nowhere are reported uncovered.
+    Links in no slot are reported uncovered, in ascending id.  The slots
+    are taken as they are; repair already gave every link its chance.
     """
-    model = fractional.model
-    T = model.frame_length
+    T = fractional.model.frame_length
     if len(repaired) != T:
         raise ValueError(f"expected {T} slots, got {len(repaired)}")
-    beta = instance.radio.beta
-    slots = [set(s) for s in repaired]
-    forced: set[int] = set()
-    given_up: set[int] = set()
-    xhat = fractional.value
-
-    def covered(lid: int) -> bool:
-        return any(lid in s for s in slots)
-
-    for _ in range(len(instance.links) + 1):
-        todo = [
-            link.id
-            for link in sorted(instance.links, key=lambda l: l.id)
-            if link.id not in given_up and not covered(link.id)
-        ]
-        if not todo:
-            break
-        for lid in todo:
-            link = instance.link(lid)
-            slot_order = sorted(range(T), key=lambda t: (-xhat(lid, t), t))
-            placed = False
-            for t in slot_order:
-                entering = xhat(lid, t)
-                blocked = False
-                for other_id in slots[t]:
-                    if links_share_node(link, instance.link(other_id)):
-                        if other_id in forced or not xhat(other_id, t) < entering:
-                            blocked = True
-                            break
-                if blocked:
-                    continue
-                trial = {
-                    o
-                    for o in slots[t]
-                    if not links_share_node(link, instance.link(o))
-                }
-                trial.add(lid)
-                feasible = True
-                while not all(
-                    sinr_at_receiver(instance, m, trial - {m}) >= beta for m in trial
-                ):
-                    victims = [
-                        m
-                        for m in trial
-                        if m != lid and m not in forced and xhat(m, t) < entering
-                    ]
-                    if not victims:
-                        feasible = False
-                        break
-                    trial.remove(min(victims, key=lambda m: (xhat(m, t), m)))
-                if feasible:
-                    slots[t] = trial
-                    forced.add(lid)
-                    placed = True
-                    break
-            if not placed:
-                given_up.add(lid)
-
-    schedule = Schedule(T, tuple(frozenset(s) for s in slots))
-    uncovered = tuple(
-        link.id
-        for link in sorted(instance.links, key=lambda l: l.id)
-        if not covered(link.id)
-    )
-    total = throughput(instance, schedule)
+    schedule = Schedule(T, tuple(frozenset(s) for s in repaired))
+    placed = schedule.scheduled_links()
+    uncovered = tuple(sorted(set(instance.link_ids()) - placed))
     return RoundingOutcome(
         schedule=schedule,
         a_rand=a_rand,
-        delta_a=total - a_rand,
+        delta_a=throughput(instance, schedule) - a_rand,
         uncovered=uncovered,
         rng_seed=rng_seed,
     )
@@ -214,7 +162,7 @@ def coverage_fix(
 def app_schedule(
     instance: NetworkInstance, frame_length: int, seed: int
 ) -> RoundingOutcome:
-    """Full pipeline: LP, rounding, repair, coverage fix.
+    """Full pipeline: LP, rounding, packing, outcome.
 
     Raises lp.LpInfeasibleError when even the relaxation has no solution
     at this frame length.  The returned schedule always passes the radio

@@ -1,8 +1,8 @@
-"""LP relaxation of the slot-assignment scheduling problem.
+"""LP relaxation of the slot-assignment scheduling problem, folded over slots.
 
-One variable x[e,t] in [0,1] per (link, slot) pair; column i*T + t is
-link link_ids[i] in slot t.  Objective: the rate-weighted number of
-transmissions averaged over the frame.  Rows:
+The per-slot relaxation has one variable x[e,t] in [0,1] per (link, slot)
+pair, the objective sum_{e,t} rate_e * x[e,t] / T (the rate-weighted number
+of transmissions averaged over the frame) and these rows:
 
   coverage   sum_t x[e,t] >= 1                       per link e
   rx         sum_{e into node v} x[e,t] <= 1         per receiver v, slot t
@@ -10,24 +10,38 @@ transmissions averaged over the frame.  Rows:
   duplex     sum_{e at v, either role} x[e,t] <= 1   per dual-role v, slot t
   sinr       big-M linearized decoding condition     per link e, slot t
 
-The sinr row for link e = (i, j) in slot t is
+Every slot carries the same row block, so this module solves the folded LP
+instead: one variable y_e per link (the share of the frame link e is on),
+objective sum_e rate_e * y_e, coverage y_e >= 1/T, and the rx, tx, duplex
+and sinr rows once, on y.  The fold is exact in both directions:
 
-  (P*g(i,j) - D) * x[e,t] - beta * sum_k P*g(s_k, j) * x[k,t] >= beta*N - D
+  * averaging: for a feasible x, y_e = (1/T) sum_t x[e,t] is feasible with
+    the same objective.  Each per-slot row has the same coefficients and
+    right side in every slot, so the mean of its T copies is the folded
+    row on y; sum_t x[e,t] >= 1 becomes y_e >= 1/T.
+  * lifting: for a feasible y, x[e,t] = y_e meets every slot's row (each
+    is the folded row), sum_t x[e,t] = T * y_e >= 1, and the objective is
+    unchanged.
+
+So both LPs have the same optimum, and the tableau no longer grows with T.
+
+The sinr row for link e = (i, j) is
+
+  (P*g(i,j) - D) * y_e - beta * sum_k P*g(s_k, j) * y_k >= beta*N - D
 
 with D = beta * (N + sum_k P*g(s_k, j)), the largest the right side of the
-decoding condition can get, so the row is vacuous when x[e,t] = 0 and is
-exactly "SINR >= beta" when x[e,t] = 1.  Links whose sender IS node j are
+decoding condition can get, so the row is vacuous when y_e = 0 and is
+exactly "SINR >= beta" when y_e = 1.  Links whose sender IS node j are
 excluded from the interference sums: the duplex row already forbids that
 concurrency outright, and a same-node path gain is undefined.
 
-The bound x[e,t] <= 1 needs no row of its own: x[e,t] has coefficient 1
-in its receiver's rx row, whose other coefficients are 0 or 1, so with
-x >= 0 that row already forces x[e,t] <= 1.  Passing the bounds to the
-simplex would add |E|*T redundant rows, about a quarter of its rows;
-solve_lp still rejects any returned value above 1.
+The bound y_e <= 1 needs no row of its own: y_e has coefficient 1 in its
+receiver's rx row, whose other coefficients are 0 or 1, so with y >= 0 that
+row already forces y_e <= 1; solve_lp still rejects any value above 1.
 
-Integral feasible schedules are feasible points of this LP, so the LP
-optimum is an upper bound on every schedule's throughput.
+Integral feasible schedules, averaged over their slots, are feasible points
+of this LP, so the LP optimum is an upper bound on every schedule's
+throughput.
 """
 
 from __future__ import annotations
@@ -69,19 +83,14 @@ class LpRow:
 class LpModel:
     instance: NetworkInstance
     frame_length: int
-    link_ids: tuple[int, ...]  # ascending; column i*T + t is link_ids[i] in slot t
-    position: dict[int, int]  # link id -> its index in link_ids
+    link_ids: tuple[int, ...]  # ascending; column i is link link_ids[i]
+    position: dict[int, int]  # link id -> its column
     objective: np.ndarray
     rows: tuple[LpRow, ...]
 
     @property
     def n_vars(self) -> int:
-        return len(self.link_ids) * self.frame_length
-
-    def column(self, link_id: int, slot: int) -> int:
-        if not 0 <= slot < self.frame_length:
-            raise KeyError((link_id, slot))
-        return self.position[link_id] * self.frame_length + slot
+        return len(self.link_ids)
 
 
 def sinr_big_m(instance: NetworkInstance, link_id: int) -> float:
@@ -102,62 +111,42 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
         raise ValueError(f"frame_length must be >= 1, got {frame_length}")
     radio = instance.radio
     links = sorted(instance.links, key=lambda l: l.id)
-    T = frame_length
-    n = len(links) * T
+    n = len(links)
 
-    objective = np.repeat([link.rate / T for link in links], T)
+    def incidence(touches) -> np.ndarray:
+        return np.array([1.0 if touches(link) else 0.0 for link in links])
 
-    rows: list[LpRow] = []
-
-    for i, link in enumerate(links):
-        coeffs = np.zeros(n)
-        coeffs[i * T : (i + 1) * T] = 1.0
-        rows.append(LpRow(coeffs, simplex.GE, 1.0, ("coverage", link.id)))
-
+    unit = np.eye(n)
+    rows = [
+        LpRow(unit[i], simplex.GE, 1.0 / frame_length, ("coverage", link.id))
+        for i, link in enumerate(links)
+    ]
     receivers = sorted({link.receiver for link in links})
     senders = sorted({link.sender for link in links})
-    dual_role = sorted(set(receivers) & set(senders))
-    deltas = {link.id: sinr_big_m(instance, link.id) for link in links}
-
-    for t in range(T):
-        for v in receivers:
-            coeffs = np.zeros(n)
-            for i, link in enumerate(links):
-                if link.receiver == v:
-                    coeffs[i * T + t] = 1.0
-            rows.append(LpRow(coeffs, simplex.LE, 1.0, ("rx", t, v)))
-        for v in senders:
-            coeffs = np.zeros(n)
-            for i, link in enumerate(links):
-                if link.sender == v:
-                    coeffs[i * T + t] = 1.0
-            rows.append(LpRow(coeffs, simplex.LE, 1.0, ("tx", t, v)))
-        for v in dual_role:
-            coeffs = np.zeros(n)
-            for i, link in enumerate(links):
-                if link.sender == v or link.receiver == v:
-                    coeffs[i * T + t] = 1.0
-            rows.append(LpRow(coeffs, simplex.LE, 1.0, ("duplex", t, v)))
-        for i, link in enumerate(links):
-            coeffs = np.zeros(n)
-            delta = deltas[link.id]
-            signal = received_power(instance, link.sender, link.receiver)
-            coeffs[i * T + t] = signal - delta
-            for k, other in enumerate(links):
-                if other.id == link.id or other.sender == link.receiver:
-                    continue
-                coeffs[k * T + t] = -radio.beta * received_power(
-                    instance, other.sender, link.receiver
-                )
-            rhs = radio.beta * radio.noise - delta
-            rows.append(LpRow(coeffs, simplex.GE, rhs, ("sinr", t, link.id)))
+    for v in receivers:
+        rows.append(LpRow(incidence(lambda l: l.receiver == v), simplex.LE, 1.0, ("rx", v)))
+    for v in senders:
+        rows.append(LpRow(incidence(lambda l: l.sender == v), simplex.LE, 1.0, ("tx", v)))
+    for v in sorted(set(receivers) & set(senders)):
+        coeffs = incidence(lambda l: v in (l.sender, l.receiver))
+        rows.append(LpRow(coeffs, simplex.LE, 1.0, ("duplex", v)))
+    for i, link in enumerate(links):
+        coeffs = np.zeros(n)
+        delta = sinr_big_m(instance, link.id)
+        coeffs[i] = received_power(instance, link.sender, link.receiver) - delta
+        for k, other in enumerate(links):
+            if other.id == link.id or other.sender == link.receiver:
+                continue
+            coeffs[k] = -radio.beta * received_power(instance, other.sender, link.receiver)
+        rhs = radio.beta * radio.noise - delta
+        rows.append(LpRow(coeffs, simplex.GE, rhs, ("sinr", link.id)))
 
     return LpModel(
         instance=instance,
-        frame_length=T,
+        frame_length=frame_length,
         link_ids=tuple(link.id for link in links),
         position={link.id: i for i, link in enumerate(links)},
-        objective=objective,
+        objective=np.array([link.rate for link in links]),
         rows=tuple(rows),
     )
 
@@ -165,11 +154,11 @@ def build_lp(instance: NetworkInstance, frame_length: int) -> LpModel:
 @dataclass(frozen=True)
 class FractionalSolution:
     model: LpModel
-    values: np.ndarray  # clamped to [0, 1]
+    values: np.ndarray  # one y-hat per column, clamped to [0, 1]
     objective: float
 
-    def value(self, link_id: int, slot: int) -> float:
-        return float(self.values[self.model.column(link_id, slot)])
+    def value(self, link_id: int) -> float:
+        return float(self.values[self.model.position[link_id]])
 
 
 def solve_lp(model: LpModel) -> FractionalSolution:

@@ -171,6 +171,22 @@ def links_share_node(a: Link, b: Link) -> bool:
     return bool({a.sender, a.receiver} & {b.sender, b.receiver})
 
 
+def fits(instance: NetworkInstance, link_id: int, slot: set[int]) -> bool:
+    """True when the link may join the slot's residents.
+
+    It must share no node with a resident (a link already in the slot
+    shares its own nodes), and every member of the enlarged slot, the link
+    included, must keep SINR >= beta.  The scheduler admission test; the
+    checker in feasibility.py keeps its own.
+    """
+    link = instance.link(link_id)
+    if any(links_share_node(link, instance.link(other)) for other in slot):
+        return False
+    trial = slot | {link_id}
+    beta = instance.radio.beta
+    return all(sinr_at_receiver(instance, m, trial - {m}) >= beta for m in trial)
+
+
 def link_gain(instance: NetworkInstance, from_node: int, to_node: int) -> float:
     """Path gain d**(-alpha) between two distinct nodes."""
     d = instance.distance(from_node, to_node)

@@ -6,6 +6,7 @@ standard tables.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from linksched.centralized import (
     repair,
     rounding_tail_bound,
 )
-from linksched.feasibility import check_schedule, throughput
+from linksched.baselines import pg_schedule
+from linksched.experiment import run_seeds
+from linksched.feasibility import check_coverage, check_schedule, throughput
 from linksched.lp import FractionalSolution, build_lp, solve_lp
 from linksched.radio import Link, NetworkInstance, Node, RadioParams
+from linksched.scenario import ScenarioConfig, generate_scenario
 
 from util import random_instance
 
@@ -44,15 +48,18 @@ def crossfire(beta=10.0):
     )
 
 
-def synthetic_fractional(instance, frame_length, values_by_column):
-    """FractionalSolution with prescribed x-hat values (no solve)."""
+def synthetic_fractional(instance, frame_length, yhat_by_link):
+    """FractionalSolution with prescribed y-hat values (no solve)."""
     model = build_lp(instance, frame_length)
-    values = np.zeros(model.n_vars)
-    for (lid, t), v in values_by_column.items():
-        values[model.column(lid, t)] = v
+    values = np.array([yhat_by_link.get(lid, 0.0) for lid in model.link_ids])
     return FractionalSolution(
         model=model, values=values, objective=float(model.objective @ values)
     )
+
+
+def draws(*rows):
+    """A raw rounded assignment: one 0/1 row of slots per link."""
+    return np.array(rows, dtype=np.uint8)
 
 
 class TestRounding:
@@ -60,6 +67,7 @@ class TestRounding:
         sol = solve_lp(build_lp(crossfire(20.0), 2))
         a = randomized_round(sol, 7)
         b = randomized_round(sol, 7)
+        assert a.shape == (2, 2)
         assert (a == b).all()
 
     def test_seed_changes_outcome(self):
@@ -74,115 +82,114 @@ class TestRounding:
 
     def test_degenerate_probabilities(self):
         inst = crossfire(10.0)
-        sol = synthetic_fractional(inst, 2, {(0, 0): 1.0, (1, 1): 0.0})
+        sol = synthetic_fractional(inst, 5, {0: 1.0, 1: 0.0})
         for seed in range(50):
             raw = randomized_round(sol, seed)
-            assert raw[sol.model.column(0, 0)] == 1
-            assert raw[sol.model.column(1, 1)] == 0
+            assert raw[0].tolist() == [1] * 5
+            assert raw[1].tolist() == [0] * 5
 
     def test_marginals_match_xhat(self):
-        # every variable at 0.7; mean over 3000 seeds must sit inside the
-        # 99.9% binomial band around 0.7 (aggregate over the 4 columns)
+        # y-hat 0.7 and 0.2; each link's cell mean over 3000 seeds must sit
+        # inside the 99.9% binomial band around its own y-hat
         inst = crossfire(10.0)
-        sol = synthetic_fractional(
-            inst, 2, {(l, t): 0.7 for l in (0, 1) for t in (0, 1)}
-        )
+        sol = synthetic_fractional(inst, 3, {0: 0.7, 1: 0.2})
         n_seeds = 3000
-        total = np.zeros(sol.model.n_vars)
-        for seed in range(n_seeds):
-            total += randomized_round(sol, seed)
-        mean = total.sum() / (n_seeds * sol.model.n_vars)
-        band = Z_999 * math.sqrt(0.7 * 0.3 / (n_seeds * sol.model.n_vars))
-        assert abs(mean - 0.7) <= band
+        total = sum(randomized_round(sol, seed).astype(float) for seed in range(n_seeds))
+        for i, p in enumerate((0.7, 0.2)):
+            mean = total[i].sum() / (n_seeds * 3)
+            assert abs(mean - p) <= Z_999 * math.sqrt(p * (1 - p) / (n_seeds * 3))
 
     def test_streams_independent_across_columns(self):
+        # every pair of cells, within one link's stream and across links,
+        # must look uncorrelated over the seeds
         inst = crossfire(10.0)
-        sol = synthetic_fractional(
-            inst, 2, {(l, t): 0.5 for l in (0, 1) for t in (0, 1)}
-        )
+        sol = synthetic_fractional(inst, 3, {0: 0.5, 1: 0.5})
         n_seeds = 3000
-        draws = np.zeros((n_seeds, sol.model.n_vars))
-        for seed in range(n_seeds):
-            draws[seed] = randomized_round(sol, seed)
-        corr = np.corrcoef(draws, rowvar=False)
+        cells = np.array([randomized_round(sol, s).ravel() for s in range(n_seeds)])
+        corr = np.corrcoef(cells, rowvar=False)
         off_diag = corr[~np.eye(corr.shape[0], dtype=bool)]
         assert np.abs(off_diag).max() < 4.0 / math.sqrt(n_seeds)
+
+    def test_link_draws_independent_of_other_links(self):
+        # a link's cells come from its own (seed, link) stream, so the other
+        # links' y-hat never changes them
+        inst = crossfire(10.0)
+        a = randomized_round(synthetic_fractional(inst, 4, {0: 0.5, 1: 0.1}), 3)
+        b = randomized_round(synthetic_fractional(inst, 4, {0: 0.5, 1: 0.9}), 3)
+        assert (a[0] == b[0]).all()
 
     def test_pre_repair_average(self):
         inst = crossfire(10.0)
         sol = synthetic_fractional(inst, 2, {})
-        raw = np.array([1, 0, 1, 1], dtype=np.uint8)
         # three transmissions at unit rate over two slots
-        assert pre_repair_average(sol, raw) == pytest.approx(1.5, rel=1e-12)
+        assert pre_repair_average(sol, draws([1, 0], [1, 1])) == pytest.approx(1.5, rel=1e-12)
+
+
+def shared_receiver():
+    # two senders into one receiver: never in the same slot
+    return make_instance(
+        nodes=[(0, 1.0, 0.0), (1, 0.0, 1.0), (2, 0.0, 0.0)],
+        links=[(0, 0, 2), (1, 1, 2)],
+    )
 
 
 class TestRepair:
     def test_higher_xhat_wins_shared_receiver(self):
-        # two senders into one receiver with x-hat 0.3 vs 0.7: the 0.7 link
-        # survives the single-transmission repair
-        inst = make_instance(
-            nodes=[(0, 1.0, 0.0), (1, 0.0, 1.0), (2, 0.0, 0.0)],
-            links=[(0, 0, 2), (1, 1, 2)],
-        )
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.3, (1, 0): 0.7})
-        raw = np.array([1, 1], dtype=np.uint8)
-        assert repair(inst, sol, raw) == [{1}]
+        # both links drew all three slots; pass 1 puts the 0.3 link in slot
+        # 0 and the 0.7 link in slot 1, then the 0.7 link fills first and
+        # takes the spare slot 2
+        sol = synthetic_fractional(shared_receiver(), 3, {0: 0.3, 1: 0.7})
+        raw = draws([1, 1, 1], [1, 1, 1])
+        assert repair(shared_receiver(), sol, raw) == [{0}, {1}, {1}]
 
     def test_tie_prefers_smaller_id(self):
-        inst = make_instance(
-            nodes=[(0, 1.0, 0.0), (1, 0.0, 1.0), (2, 0.0, 0.0)],
-            links=[(0, 0, 2), (1, 1, 2)],
-        )
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.5, (1, 0): 0.5})
-        raw = np.array([1, 1], dtype=np.uint8)
-        assert repair(inst, sol, raw) == [{0}]
+        sol = synthetic_fractional(shared_receiver(), 3, {0: 0.5, 1: 0.5})
+        raw = draws([1, 1, 1], [1, 1, 1])
+        assert repair(shared_receiver(), sol, raw) == [{0}, {1}, {0}]
 
     def test_sinr_sweep_higher_xhat_wins(self):
-        # crossfire at beta=20: the two links cannot share a slot (SINR 16);
-        # the higher x-hat link is admitted first and the other would break
-        # the slot, so it is dropped
+        # crossfire at beta=20: the two links cannot share a slot (SINR 16)
         inst = crossfire(20.0)
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.8, (1, 0): 0.9})
-        raw = np.array([1, 1], dtype=np.uint8)
-        assert repair(inst, sol, raw) == [{1}]
+        sol = synthetic_fractional(inst, 3, {0: 0.8, 1: 0.9})
+        raw = draws([1, 1, 1], [1, 1, 1])
+        assert repair(inst, sol, raw) == [{0}, {1}, {1}]
 
     def test_sinr_sweep_equal_xhat_tie(self):
         inst = crossfire(20.0)
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.5, (1, 0): 0.5})
-        raw = np.array([1, 1], dtype=np.uint8)
-        # tie goes to the smaller id: link 0 admitted, link 1 dropped
-        assert repair(inst, sol, raw) == [{0}]
+        sol = synthetic_fractional(inst, 3, {0: 0.5, 1: 0.5})
+        raw = draws([1, 1, 1], [1, 1, 1])
+        assert repair(inst, sol, raw) == [{0}, {1}, {0}]
 
     def test_conflicting_pair_resolves_across_slots(self):
-        # both conflicting links rounded into slot 0 with equal x-hat: the
-        # higher id loses the slot and the coverage fix re-places it into
-        # the empty second slot
+        # both conflicting links drew only slot 0: the lower y-hat link
+        # covers there, the other covers in the undrawn slot 1
         inst = crossfire(20.0)
-        sol = synthetic_fractional(
-            inst, 2, {(0, 0): 0.6, (1, 0): 0.6, (0, 1): 0.2, (1, 1): 0.2}
-        )
-        raw = np.zeros(4, dtype=np.uint8)
-        raw[sol.model.column(0, 0)] = 1
-        raw[sol.model.column(1, 0)] = 1
-        slots = repair(inst, sol, raw)
-        assert slots == [{0}, set()]
-        outcome = coverage_fix(inst, sol, slots)
-        assert outcome.schedule.slots == (frozenset({0}), frozenset({1}))
-        assert outcome.uncovered == ()
+        sol = synthetic_fractional(inst, 2, {0: 0.6, 1: 0.5})
+        slots = repair(inst, sol, draws([1, 0], [1, 0]))
+        assert slots == [{1}, {0}]
+        assert coverage_fix(inst, sol, slots).uncovered == ()
 
     def test_feasible_slot_untouched(self):
         inst = crossfire(10.0)
-        sol = synthetic_fractional(inst, 2, {(0, 0): 0.6, (1, 0): 0.6})
-        raw = np.zeros(4, dtype=np.uint8)
-        raw[sol.model.column(0, 0)] = 1
-        raw[sol.model.column(1, 0)] = 1
-        assert repair(inst, sol, raw) == [{0, 1}, set()]
+        sol = synthetic_fractional(inst, 2, {0: 0.6, 1: 0.6})
+        assert repair(inst, sol, draws([1, 0], [1, 0])) == [{0, 1}, set()]
 
     def test_empty_assignment(self):
+        # a link that drew nothing is still covered once, first fit
         inst = crossfire(10.0)
         sol = synthetic_fractional(inst, 2, {})
-        raw = np.zeros(4, dtype=np.uint8)
-        assert repair(inst, sol, raw) == [set(), set()]
+        assert repair(inst, sol, draws([0, 0], [0, 0])) == [{0, 1}, set()]
+
+    def test_drawn_slots_tried_first(self):
+        inst = crossfire(10.0)
+        sol = synthetic_fractional(inst, 3, {0: 0.4, 1: 0.4})
+        assert repair(inst, sol, draws([0, 0, 1], [0, 1, 1])) == [set(), {1}, {0, 1}]
+
+    def test_bad_shape_rejected(self):
+        inst = crossfire(10.0)
+        sol = synthetic_fractional(inst, 2, {})
+        with pytest.raises(ValueError):
+            repair(inst, sol, np.zeros(4, dtype=np.uint8))
 
     def test_repaired_slots_always_pass_checkers(self):
         for seed in range(25):
@@ -201,13 +208,13 @@ class TestRepair:
 
 class TestCoverageFix:
     def test_place_into_empty_slot(self):
+        # link 1 drew nothing and cannot join link 0: it covers in the empty
+        # slot, and the outcome carries A_rand, delta and the seed
         inst = crossfire(20.0)
-        sol = synthetic_fractional(
-            inst, 2, {(0, 0): 0.9, (0, 1): 0.1, (1, 0): 0.2, (1, 1): 0.8}
-        )
-        outcome = coverage_fix(inst, sol, [{1}, set()], a_rand=0.5, rng_seed=3)
-        # link 0 takes slot 0 (x-hat 0.9), evicting link 1 (0.2 < 0.9);
-        # link 1 then lands in slot 1
+        sol = synthetic_fractional(inst, 2, {0: 0.2, 1: 0.9})
+        slots = repair(inst, sol, draws([1, 0], [0, 0]))
+        assert slots == [{0}, {1}]
+        outcome = coverage_fix(inst, sol, slots, a_rand=0.5, rng_seed=3)
         assert outcome.schedule.slots == (frozenset({0}), frozenset({1}))
         assert outcome.uncovered == ()
         assert outcome.a_rand == 0.5
@@ -215,22 +222,22 @@ class TestCoverageFix:
         assert outcome.rng_seed == 3
 
     def test_unplaceable_link_reported(self):
-        # single slot, beta=20: the two links cannot coexist and link 1 is
-        # already there with equal x-hat, so link 0 cannot evict it
+        # single slot, beta=20: the two links cannot coexist; the lower
+        # y-hat link covers and the other is reported
         inst = crossfire(20.0)
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.5, (1, 0): 0.5})
-        outcome = coverage_fix(inst, sol, [{1}])
+        sol = synthetic_fractional(inst, 1, {0: 0.5, 1: 0.4})
+        outcome = coverage_fix(inst, sol, repair(inst, sol, draws([1], [1])))
         assert outcome.schedule.slots == (frozenset({1}),)
         assert outcome.uncovered == (0,)
 
     def test_forced_links_never_evicted(self):
-        # link 0 evicts link 1 from the only slot; link 1 then finds the
-        # slot held by a forced link with no eviction allowed
+        # the 0.2 link covers slot 0, its only draw; the 0.9 link drew both
+        # slots, covers slot 1 and cannot evict the 0.2 link for its second
+        # copy
         inst = crossfire(20.0)
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.9, (1, 0): 0.2})
-        outcome = coverage_fix(inst, sol, [{1}])
-        assert outcome.schedule.slots == (frozenset({0}),)
-        assert outcome.uncovered == (1,)
+        sol = synthetic_fractional(inst, 2, {0: 0.9, 1: 0.2})
+        slots = repair(inst, sol, draws([1, 1], [1, 0]))
+        assert slots == [{1}, {0}]
 
     def test_weak_link_fails_everywhere(self):
         # second link too long to decode even alone (SNR 3.9 < 10)
@@ -239,27 +246,19 @@ class TestCoverageFix:
             links=[(0, 0, 1), (1, 2, 3)],
             noise=1e-3,
         )
-        sol = synthetic_fractional(inst, 2, {(0, 0): 1.0})
-        outcome = coverage_fix(inst, sol, [{0}, set()])
+        sol = synthetic_fractional(inst, 2, {0: 1.0})
+        outcome = coverage_fix(inst, sol, repair(inst, sol, draws([1, 1], [0, 0])))
         assert outcome.uncovered == (1,)
-        assert outcome.schedule.slots == (frozenset({0}), frozenset())
+        assert outcome.schedule.slots == (frozenset({0}), frozenset({0}))
 
-    def test_radio_evictions_respect_priority(self):
-        # shared receiver: entering link 0 (x-hat 0.6) may evict resident
-        # link 1 (0.4) but not resident link 1 at 0.6 (not strictly less)
-        inst = make_instance(
-            nodes=[(0, 1.0, 0.0), (1, 0.0, 1.0), (2, 0.0, 0.0)],
-            links=[(0, 0, 2), (1, 1, 2)],
-        )
-        sol = synthetic_fractional(inst, 1, {(0, 0): 0.6, (1, 0): 0.4})
-        outcome = coverage_fix(inst, sol, [{1}])
-        assert outcome.schedule.slots == (frozenset({0}),)
-        assert outcome.uncovered == (1,)
-
-        sol_tie = synthetic_fractional(inst, 1, {(0, 0): 0.6, (1, 0): 0.6})
-        outcome_tie = coverage_fix(inst, sol_tie, [{1}])
-        assert outcome_tie.schedule.slots == (frozenset({1}),)
-        assert outcome_tie.uncovered == (0,)
+    def test_reports_slots_as_given(self):
+        # no evictions: the outcome is the packed slots, gaps reported
+        inst = shared_receiver()
+        sol = synthetic_fractional(inst, 1, {0: 0.6, 1: 0.4})
+        outcome = coverage_fix(inst, sol, [{1}], a_rand=2.0)
+        assert outcome.schedule.slots == (frozenset({1}),)
+        assert outcome.uncovered == (0,)
+        assert outcome.delta_a == pytest.approx(1.0 - 2.0, rel=1e-12)
 
     def test_bad_slot_count_rejected(self):
         inst = crossfire(10.0)
@@ -293,6 +292,26 @@ class TestAppSchedule:
                 throughput(inst, outcome.schedule), rel=1e-9, abs=1e-12
             )
         assert inst_count == 30
+
+    def test_covers_wherever_pg_covers(self):
+        # the generator configs where app once left 1-2 links uncovered that
+        # pg covers, then tiny random instances from sparse to crowded
+        config = ScenarioConfig(pair_count=4, frame_length=3, area=4.0, run_count=1)
+        cases = []
+        for master in range(5):
+            (seed,) = run_seeds(replace(config, master_seed=master))
+            cases.append((generate_scenario(config, seed), 3, seed))
+        for seed in range(600):
+            r = np.random.default_rng(seed)
+            n, T, area = int(r.integers(2, 9)), int(r.integers(1, 5)), r.uniform(1.5, 5.0)
+            cases.append((random_instance(20000 + seed, n, area=float(area)), T, seed))
+        checked = 0
+        for inst, T, seed in cases:
+            if check_coverage(inst, pg_schedule(inst, T)):
+                continue
+            assert app_schedule(inst, T, seed).uncovered == (), seed
+            checked += 1
+        assert checked >= 300
 
     def test_deterministic_given_seed(self):
         inst = random_instance(5, n_links=5, area=3.0)

@@ -45,12 +45,7 @@ class TestModelShape:
         model = build_lp(inst, 1)
         assert model.n_vars == 1
         labels = [row.label for row in model.rows]
-        assert labels == [
-            ("coverage", 0),
-            ("rx", 0, 1),
-            ("tx", 0, 0),
-            ("sinr", 0, 0),
-        ]
+        assert labels == [("coverage", 0), ("rx", 1), ("tx", 0), ("sinr", 0)]
 
     def test_duplex_row_only_for_dual_role_nodes(self):
         # chain a -> b -> c: node 1 sends and receives
@@ -60,20 +55,29 @@ class TestModelShape:
         )
         model = build_lp(inst, 2)
         duplex = [row for row in model.rows if row.label[0] == "duplex"]
-        assert [row.label for row in duplex] == [("duplex", 0, 1), ("duplex", 1, 1)]
+        assert [row.label for row in duplex] == [("duplex", 1)]
         # the row covers both of node 1's links
-        row = duplex[0]
-        assert row.coeffs[model.column(0, 0)] == 1.0
-        assert row.coeffs[model.column(1, 0)] == 1.0
+        assert list(duplex[0].coeffs) == [1.0, 1.0]
 
-    def test_objective_is_rate_over_frame(self):
+    def test_objective_is_rate_and_coverage_one_over_frame(self):
+        # y_e is the share of the frame link e is on: objective rate_e, and
+        # one slot out of T covers it
         inst = make_instance(
             nodes=[(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 5.0, 0.0), (3, 6.0, 0.0)],
             links=[(0, 0, 1, 2.0), (1, 2, 3, 3.0)],
         )
         model = build_lp(inst, 4)
-        assert model.objective[model.column(0, 2)] == pytest.approx(0.5)
-        assert model.objective[model.column(1, 0)] == pytest.approx(0.75)
+        assert list(model.objective) == [2.0, 3.0]
+        coverage = [row for row in model.rows if row.label[0] == "coverage"]
+        assert [row.rhs for row in coverage] == [0.25, 0.25]
+
+    def test_size_does_not_grow_with_frame(self):
+        inst = random_instance(3, 6, area=3.0)
+        shapes = {
+            (len(model.rows), model.n_vars)
+            for model in (build_lp(inst, T) for T in (1, 8, 100))
+        }
+        assert shapes == {(24, 6)}  # coverage + rx + tx + sinr, one column per link
 
     def test_zero_frame_length_rejected(self):
         inst = make_instance(nodes=[(0, 0.0, 0.0), (1, 1.0, 0.0)], links=[(0, 0, 1)])
@@ -105,10 +109,10 @@ class TestBigM:
     def test_sinr_row_algebra(self):
         inst = crossfire(beta=10.0)
         model = build_lp(inst, 1)
-        row = next(r for r in model.rows if r.label == ("sinr", 0, 0))
-        # (P*g - D) x0 - beta * P * 2**-4 * x1 >= beta*N - D
-        assert row.coeffs[model.column(0, 0)] == pytest.approx(1.0 - 0.625, rel=1e-12)
-        assert row.coeffs[model.column(1, 0)] == pytest.approx(-0.625, rel=1e-12)
+        row = next(r for r in model.rows if r.label == ("sinr", 0))
+        # (P*g - D) y0 - beta * P * 2**-4 * y1 >= beta*N - D
+        assert row.coeffs[0] == pytest.approx(1.0 - 0.625, rel=1e-12)
+        assert row.coeffs[1] == pytest.approx(-0.625, rel=1e-12)
         assert row.rhs == pytest.approx(-0.625, rel=1e-12)
 
 
@@ -118,8 +122,8 @@ class TestSolve:
         sol = solve_lp(build_lp(crossfire(10.0), 1))
         assert isinstance(sol, FractionalSolution)
         assert sol.objective == pytest.approx(2.0, rel=1e-9)
-        assert sol.value(0, 0) == pytest.approx(1.0, abs=1e-9)
-        assert sol.value(1, 0) == pytest.approx(1.0, abs=1e-9)
+        assert sol.value(0) == pytest.approx(1.0, abs=1e-9)
+        assert sol.value(1) == pytest.approx(1.0, abs=1e-9)
 
     def test_crossfire_beta20_one_slot_infeasible(self):
         # coverage forces both links on in the lone slot; 16 < 20 kills it
@@ -127,14 +131,13 @@ class TestSolve:
             solve_lp(build_lp(crossfire(20.0), 1))
 
     def test_crossfire_beta20_two_slots_fractional_value(self):
-        # hand solve: per slot the two sinr rows give 0.25 x_e + 1.25 x_k
-        # <= 1.25 in both orders, so x_e + x_k <= 5/3 per slot with equality
-        # at x = 5/6; objective (2 * 5/3) / 2 = 5/3
+        # hand solve: the two sinr rows give 0.25 y_e + 1.25 y_k <= 1.25 in
+        # both orders, so y_e + y_k <= 5/3 with equality at y = 5/6, above
+        # the coverage floor 1/2; objective 5/3
         sol = solve_lp(build_lp(crossfire(20.0), 2))
         assert sol.objective == pytest.approx(5.0 / 3.0, rel=1e-9)
         for lid in (0, 1):
-            for t in (0, 1):
-                assert sol.value(lid, t) == pytest.approx(5.0 / 6.0, rel=1e-7)
+            assert sol.value(lid) == pytest.approx(5.0 / 6.0, rel=1e-7)
 
     def test_isolated_weak_link_infeasible(self):
         # SNR = 4**-4 / 1e-3 = 3.90625 < 10 with no interferers at all
@@ -153,11 +156,11 @@ class TestSolve:
     def test_value_profiles_cover_each_link(self):
         sol = solve_lp(build_lp(crossfire(10.0), 2))
         assert sol.model.link_ids == (0, 1)
-        assert sol.values.shape == (4,)
+        assert sol.values.shape == (2,)
         for lid in (0, 1):
-            assert sum(sol.value(lid, t) for t in range(2)) >= 1.0 - 1e-9
+            assert sol.value(lid) >= 0.5 - 1e-9
         with pytest.raises(KeyError):
-            sol.value(0, 2)
+            sol.value(2)
 
     def test_deterministic(self):
         a = solve_lp(build_lp(crossfire(20.0), 2))
@@ -246,3 +249,68 @@ class TestImpliedUnitBound:
     @pytest.mark.parametrize("case", range(len(FIXTURE_CASES)))
     def test_fixtures(self, case):
         agrees_with_unit_bound_rows(*FIXTURE_CASES[case])
+
+
+def unfolded_lp(model):
+    """The per-slot LP the folded model stands for: one column per (link,
+    slot), column i*T + t, each folded row repeated once per slot, coverage
+    sum_t x[e,t] >= 1 and objective rate / T."""
+    T, n = model.frame_length, model.n_vars
+    rows = []
+    for i in range(n):
+        coeffs = np.zeros(n * T)
+        coeffs[i * T : (i + 1) * T] = 1.0
+        rows.append((coeffs, simplex.GE, 1.0))
+    for row in model.rows:
+        if row.label[0] == "coverage":
+            continue
+        for t in range(T):
+            coeffs = np.zeros(n * T)
+            coeffs[t::T] = row.coeffs
+            rows.append((coeffs, row.sense, row.rhs))
+    rates = [model.instance.link(lid).rate for lid in model.link_ids]
+    return np.repeat(np.array(rates) / T, T), rows
+
+
+def fold_cases(count):
+    """(instance, frame length) pairs with n <= 8 links and T <= 5 on a
+    3 x 3 area; a few are LP-infeasible."""
+    for seed in range(count):
+        r = np.random.default_rng(seed)
+        n, T = int(r.integers(2, 9)), int(r.integers(1, 6))
+        yield random_instance(7000 + seed, n, area=3.0), T
+
+
+def agrees_with_unfolded(inst, T) -> bool:
+    """Check the folded optimum against the per-slot LP's, and that lifting
+    y-hat to every slot is feasible there.  Returns False when both are
+    infeasible."""
+    model = build_lp(inst, T)
+    objective, rows = unfolded_lp(model)
+    try:
+        sol = solve_lp(model)
+    except LpInfeasibleError:
+        with pytest.raises(simplex.InfeasibleError):
+            simplex.maximize(objective, rows)
+        return False
+    full = simplex.maximize(objective, rows)
+    assert abs(sol.objective - full.objective) <= EPS_OBJ * (1.0 + abs(sol.objective))
+    lifted = np.repeat(sol.values, T)
+    for coeffs, sense, rhs in rows:
+        lhs, scale = coeffs @ lifted, 1.0 + abs(rhs) + np.abs(coeffs) @ lifted
+        if sense == simplex.GE:
+            assert lhs >= rhs - EPS_FEAS * scale
+        else:
+            assert lhs <= rhs + EPS_FEAS * scale
+    return True
+
+
+class TestFold:
+    """The folded LP has the per-slot LP's optimum (see the lp module)."""
+
+    def test_generated_dense_instances(self):
+        assert sum(agrees_with_unfolded(inst, T) for inst, T in fold_cases(60)) >= 50
+
+    @pytest.mark.parametrize("case", range(len(FIXTURE_CASES)))
+    def test_fixtures(self, case):
+        agrees_with_unfolded(*FIXTURE_CASES[case])

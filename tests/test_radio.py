@@ -18,6 +18,7 @@ from linksched.radio import (
     RadioParams,
     db_to_linear,
     default_tx_power,
+    fits,
     linear_to_db,
     link_gain,
     received_power,
@@ -179,6 +180,44 @@ class TestSinr:
         # middle receiver is node 3 at x=4: senders at x=0 (d=4) and x=6 (d=2)
         expected = 1.0 / (4.0**-4 + 2.0**-4)
         assert sinr_at_receiver(inst, 1, [0, 2]) == pytest.approx(expected, rel=1e-12)
+
+
+class TestFits:
+    # resident link 0 is (0,0) -> (1,0); beta 10, noise 0, unit power
+    def instance(self):
+        return make_instance(
+            nodes=[
+                (0, 0.0, 0.0),
+                (1, 1.0, 0.0),
+                (2, 2.5, 0.0),
+                (3, 2.5, 0.1),
+                (4, 9.0, 0.0),
+                (5, 9.0, 1.0),
+            ],
+            links=[(0, 0, 1), (1, 2, 3), (2, 4, 5), (3, 1, 4)],
+            noise=0.0,
+            tx_power=1.0,
+        )
+
+    def test_far_link_fits(self):
+        assert fits(self.instance(), 2, {0})
+
+    def test_empty_slot_admits_any_decodable_link(self):
+        assert fits(self.instance(), 1, set())
+
+    def test_resident_broken_by_newcomer(self):
+        # the newcomer decodes easily (SINR ~4e5) but drops the resident to
+        # 1 / 1.5**-4 = 5.06 < 10
+        inst = self.instance()
+        assert sinr_at_receiver(inst, 1, [0]) >= 10.0
+        assert not fits(inst, 1, {0})
+
+    def test_shared_node_refused(self):
+        # link 3 sends from node 1, link 0's receiver
+        assert not fits(self.instance(), 3, {0, 2})
+
+    def test_link_already_in_slot_refused(self):
+        assert not fits(self.instance(), 0, {0})
 
 
 class TestValidation:
