@@ -72,8 +72,8 @@ class TestRounding:
 
     def test_seed_changes_outcome(self):
         sol = solve_lp(build_lp(crossfire(20.0), 2))
-        draws = {randomized_round(sol, s).tobytes() for s in range(64)}
-        assert len(draws) > 1
+        outcomes = {randomized_round(sol, s).tobytes() for s in range(64)}
+        assert len(outcomes) > 1
 
     def test_negative_seed_rejected(self):
         sol = solve_lp(build_lp(crossfire(10.0), 1))
